@@ -356,7 +356,11 @@ class ClusterNode:
         ]
 
     def stealable_count(self) -> int:
-        """Number of stealable tasks, without materialising the list."""
+        """Number of stealable tasks, without materialising the list.
+
+        O(1): the scheduler maintains the count as tasks enter and leave
+        its queue, so a fleet-wide sum costs O(nodes), not O(queued).
+        """
         if self.state.terminal:
             return 0
         return self.scheduler.stealable_count()

@@ -43,7 +43,11 @@ class AdmissionControlMiddleware(Middleware):
         self._retired = NodeState.RETIRED
 
     def queued_depth(self) -> int:
-        """Fleet backlog: scheduler-queued plus on-the-wire tasks."""
+        """Fleet backlog: scheduler-queued plus on-the-wire tasks.
+
+        Both terms are maintained counters, O(1) per node, so this costs
+        O(nodes) per dispatch whatever the queue depths.
+        """
         depth = 0
         for node in self.chain.cluster.nodes:
             if node.state is self._retired:

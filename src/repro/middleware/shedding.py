@@ -65,7 +65,12 @@ class DeadlineShedMiddleware(Middleware):
         self._retired = NodeState.RETIRED
 
     def estimated_wait(self) -> float:
-        """Predicted queueing delay: backlog x mean service / capacity."""
+        """Predicted queueing delay: backlog x mean service / capacity.
+
+        The backlog is read from maintained per-node counters (O(1) each),
+        so the estimate costs O(nodes) per dispatch whatever the queue
+        depths.
+        """
         if not self.load_aware or self._service_count == 0:
             return 0.0
         backlog = 0

@@ -9,9 +9,10 @@ bookkeeping and pending completion events consistent.
 from __future__ import annotations
 
 import heapq
+import itertools
 from abc import ABC, abstractmethod
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.simulation.cpu import Core
 from repro.simulation.machine import DEFAULT_GROUP, Machine
@@ -100,11 +101,18 @@ class Scheduler(ABC):
         """
         return False
 
+    #: Queued tasks that never ran. Queue-backed policies keep it at the
+    #: points where a task enters or leaves their queue; ``first_run_time``
+    #: is only set once a task has left the queue, so it cannot go stale.
+    _queued_unstarted: int = 0
+
     def stealable_count(self) -> int:
-        """Number of queued, never-run tasks (cheap: no list, no ordering)."""
-        return sum(
-            1 for task in self.stealable_tasks() if task.first_run_time is None
-        )
+        """Number of queued, never-run tasks: a maintained counter, O(1).
+
+        Policies without a steal surface (CFS, the hybrid) never queue
+        stealable work and always answer 0.
+        """
+        return self._queued_unstarted
 
     def describe(self) -> str:
         """One-line human description used in reports."""
@@ -115,21 +123,42 @@ class Scheduler(ABC):
 
 
 class HeapQueueStealMixin:
-    """Steal surface for schedulers queueing in a ``_heap`` of
-    ``(key, seq, task)`` tuples (SJF, SRTF, EDF).
+    """Heap queue and steal surface for schedulers ordering waiting tasks by
+    a per-task key (SJF, SRTF, EDF).
 
-    Removal swaps the victim with the tail and re-heapifies — O(n), which is
-    fine at migration-tick granularity.
+    The host class defines :meth:`_heap_key` (smaller runs first; ties run
+    in push order).  Removal swaps the victim with the tail and
+    re-heapifies — O(n), which is fine at migration-tick granularity.
     """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._heap: List[Tuple[float, int, Task]] = []
+        self._seq = itertools.count()
+
+    def _heap_key(self, task: Task) -> float:
+        raise NotImplementedError
+
+    def _push(self, task: Task) -> None:
+        task.mark_queued()
+        if task.first_run_time is None:
+            self._queued_unstarted += 1
+        heapq.heappush(self._heap, (self._heap_key(task), next(self._seq), task))
+
+    def _pop(self) -> Optional[Task]:
+        if not self._heap:
+            return None
+        task = heapq.heappop(self._heap)[2]
+        if task.first_run_time is None:
+            self._queued_unstarted -= 1
+        return task
+
+    @property
+    def queue_length(self) -> int:
+        return len(self._heap)
 
     def stealable_tasks(self) -> List[Task]:
         return [entry[-1] for entry in sorted(self._heap, key=lambda e: e[:2])]
-
-    def stealable_count(self) -> int:
-        # Counting needs no queue ordering: skip the sort.
-        return sum(
-            1 for entry in self._heap if entry[-1].first_run_time is None
-        )
 
     def remove_queued_task(self, task: Task) -> bool:
         for index, entry in enumerate(self._heap):
@@ -137,6 +166,8 @@ class HeapQueueStealMixin:
                 self._heap[index] = self._heap[-1]
                 self._heap.pop()
                 heapq.heapify(self._heap)
+                if task.first_run_time is None:
+                    self._queued_unstarted -= 1
                 return True
         return False
 
@@ -157,18 +188,25 @@ class CentralizedQueueScheduler(Scheduler):
     def push(self, task: Task) -> None:
         """Add a task to the global queue (default: append to the tail)."""
         task.mark_queued()
+        if task.first_run_time is None:
+            self._queued_unstarted += 1
         self.queue.append(task)
 
     def push_front(self, task: Task) -> None:
         """Add a task to the head of the global queue."""
         task.mark_queued()
+        if task.first_run_time is None:
+            self._queued_unstarted += 1
         self.queue.appendleft(task)
 
     def pop_next(self) -> Optional[Task]:
         """Remove and return the next task to run (default: FIFO head)."""
         if not self.queue:
             return None
-        return self.queue.popleft()
+        task = self.queue.popleft()
+        if task.first_run_time is None:
+            self._queued_unstarted -= 1
+        return task
 
     @property
     def queue_length(self) -> int:
@@ -177,13 +215,12 @@ class CentralizedQueueScheduler(Scheduler):
     def stealable_tasks(self) -> List[Task]:
         return list(self.queue)
 
-    def stealable_count(self) -> int:
-        return sum(1 for task in self.queue if task.first_run_time is None)
-
     def remove_queued_task(self, task: Task) -> bool:
         for index, queued in enumerate(self.queue):
             if queued is task:
                 del self.queue[index]
+                if task.first_run_time is None:
+                    self._queued_unstarted -= 1
                 return True
         return False
 

@@ -10,9 +10,7 @@ slack-aware shortest-job-first policy on FaaS workloads.
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from repro.schedulers.base import HeapQueueStealMixin, Scheduler
 from repro.simulation.cpu import Core
@@ -40,8 +38,6 @@ class EDFScheduler(HeapQueueStealMixin, Scheduler):
             )
         self.slack_factor = slack_factor
         self.default_relative_deadline = default_relative_deadline
-        self._heap: List[Tuple[float, int, Task]] = []
-        self._seq = itertools.count()
 
     def describe(self) -> str:
         return "EDF (preemptive earliest deadline first)"
@@ -54,18 +50,8 @@ class EDFScheduler(HeapQueueStealMixin, Scheduler):
         implicit = task.arrival_time + self.slack_factor * task.service_time
         return min(implicit, task.arrival_time + self.default_relative_deadline)
 
-    def _push(self, task: Task) -> None:
-        task.mark_queued()
-        heapq.heappush(self._heap, (self.deadline_of(task), next(self._seq), task))
-
-    def _pop(self) -> Optional[Task]:
-        if not self._heap:
-            return None
-        return heapq.heappop(self._heap)[2]
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._heap)
+    def _heap_key(self, task: Task) -> float:
+        return self.deadline_of(task)
 
     # ------------------------------------------------------------------ hooks
 

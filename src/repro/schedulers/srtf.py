@@ -8,9 +8,7 @@ hand the core to the waiting task with the least remaining work.
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from repro.schedulers.base import HeapQueueStealMixin, Scheduler
 from repro.simulation.cpu import Core
@@ -34,26 +32,14 @@ class SRTFScheduler(HeapQueueStealMixin, Scheduler):
                 f"preemption_margin must be >= 0, got {preemption_margin!r}"
             )
         self.preemption_margin = preemption_margin
-        self._heap: List[Tuple[float, int, Task]] = []
-        self._seq = itertools.count()
 
     def describe(self) -> str:
         return "SRTF (preemptive shortest remaining time first)"
 
     # ------------------------------------------------------------------ queue
 
-    def _push(self, task: Task) -> None:
-        task.mark_queued()
-        heapq.heappush(self._heap, (task.remaining, next(self._seq), task))
-
-    def _pop(self) -> Optional[Task]:
-        if not self._heap:
-            return None
-        return heapq.heappop(self._heap)[2]
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._heap)
+    def _heap_key(self, task: Task) -> float:
+        return task.remaining
 
     # ------------------------------------------------------------------ hooks
 
