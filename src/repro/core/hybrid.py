@@ -39,7 +39,7 @@ from repro.monitoring.sampler import UtilizationSampler
 from repro.monitoring.shared_memory import UtilizationStore
 from repro.schedulers.base import Scheduler
 from repro.simulation.cpu import Core
-from repro.simulation.events import EventHandle
+from repro.simulation.events import Event
 from repro.simulation.task import Task
 
 
@@ -66,7 +66,7 @@ class HybridScheduler(Scheduler):
             self.store, window=self.hconfig.utilization_window
         )
         self.rightsizer: Optional[RightsizingController] = None
-        self._limit_timers: Dict[int, EventHandle] = {}
+        self._limit_timers: Dict[int, Event] = {}
         self._rr_index = 0
         # Counters surfaced in reports / tests.
         self.tasks_preempted_to_cfs = 0

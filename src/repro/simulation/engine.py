@@ -25,7 +25,7 @@ from repro.simulation.config import SimulationConfig
 from repro.simulation.cpu import Core
 from repro.simulation.events import (
     STREAM_SEQ_BASE,
-    EventHandle,
+    Event,
     EventPriority,
     EventQueue,
 )
@@ -172,7 +172,7 @@ class Simulator:
 
     def schedule_at(
         self, time: float, callback, tag: str = "timer"
-    ) -> EventHandle:
+    ) -> Event:
         """Schedule a callback at an absolute simulation time."""
         if time < self.now:
             raise ValueError(
@@ -180,7 +180,7 @@ class Simulator:
             )
         return self.events.push(time, callback, priority=EventPriority.TIMER, tag=tag)
 
-    def schedule_timer(self, delay: float, callback, tag: str = "timer") -> EventHandle:
+    def schedule_timer(self, delay: float, callback, tag: str = "timer") -> Event:
         """Schedule a callback ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"timer delay must be >= 0, got {delay!r}")

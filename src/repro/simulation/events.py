@@ -1,14 +1,22 @@
 """Event queue for the discrete-event engine.
 
-Events are ordered by ``(time, priority, sequence)``.  The sequence number
-guarantees a deterministic FIFO order for events scheduled at the same time
-with the same priority, which keeps simulation runs fully reproducible.
+Each scheduled event is one slotted :class:`Event`, which is also its own
+cancel handle: :meth:`EventQueue.push` returns the event itself, and
+``event.cancel()`` withdraws it.  The heap holds flat
+``(time, priority, seq, event)`` tuples, so ``heappush``/``heappop`` compare
+floats and ints directly.  The sequence number is unique per queue, which
+gives a deterministic FIFO order for events at the same time and priority
+(keeping runs fully reproducible) and means the event itself is never
+compared.
 
 Cancellation is *lazy*: a cancelled event stays in the heap but is skipped
 when popped.  This keeps cancellation O(1), which matters because timer-heavy
 policies (FIFO with a preemption limit sets one timer per task) cancel the
-vast majority of their timers.  A live-event counter maintained on
-push/pop/cancel/clear makes ``len(queue)`` O(1) despite the lazy tombstones.
+vast majority of their timers.  An event keeps a reference to its queue only
+while it is pending; popping, cancelling or clearing drops it, so a late
+cancel is a no-op.  A live-event counter maintained on push/pop/cancel/clear
+makes ``len(queue)`` O(1) despite the tombstones, and once tombstones
+outnumber live events the heap is compacted.
 
 The hottest push sites (task arrivals, core completions) schedule
 *payload-carrying* events with no callback: the run loop dispatches them by
@@ -17,13 +25,10 @@ The hottest push sites (task arrivals, core completions) schedule
 
 from __future__ import annotations
 
-import heapq
 import itertools
-from dataclasses import dataclass, field
 from enum import IntEnum
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Optional
-
-from repro.simulation.task import DATACLASS_KWARGS
 
 #: Base of the sequence-number range reserved for streamed arrivals.  The
 #: internal counter starts at 0, so arrivals fed mid-run with sequence
@@ -53,71 +58,67 @@ class EventPriority(IntEnum):
     TIMER = 3
 
 
-@dataclass(**DATACLASS_KWARGS)
 class Event:
     """A single scheduled callback, or a tagged payload dispatched by the
-    run loop when ``callback`` is None."""
+    run loop when ``callback`` is None; also the handle that cancels it."""
 
-    time: float
-    priority: EventPriority
-    seq: int
-    callback: Optional[Callable[[], None]]
-    tag: str = ""
-    payload: Any = None
-    cancelled: bool = field(default=False, compare=False)
-    #: Set once the event has been popped (fired); a late cancel() is a no-op.
-    popped: bool = field(default=False, compare=False)
+    __slots__ = (
+        "time", "priority", "seq", "callback", "tag", "payload", "cancelled", "_queue"
+    )
 
-    def sort_key(self) -> tuple:
-        return (self.time, int(self.priority), self.seq)
-
-
-class EventHandle:
-    """Handle returned by :meth:`EventQueue.push`, used to cancel the event."""
-
-    __slots__ = ("_event", "_queue")
-
-    def __init__(self, event: Event, queue: "EventQueue") -> None:
-        self._event = event
+    def __init__(
+        self,
+        time: float,
+        priority: EventPriority,
+        seq: int,
+        callback: Optional[Callable[[], None]],
+        tag: str,
+        payload: Any,
+        queue: "EventQueue",
+    ) -> None:
+        self.time = time
+        self.priority = priority
+        self.seq = seq
+        self.callback = callback
+        self.tag = tag
+        self.payload = payload
+        self.cancelled = False
+        #: The owning queue while the event is pending; None once it has
+        #: been popped, cancelled or cleared.
         self._queue = queue
 
-    @property
-    def time(self) -> float:
-        return self._event.time
-
-    @property
-    def tag(self) -> str:
-        return self._event.tag
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.cancelled
-
     def cancel(self) -> None:
-        """Mark the underlying event as cancelled (idempotent).
+        """Withdraw the event from its queue (idempotent).
 
         Cancelling an event that already fired is a no-op — it must not
         disturb the queue's live-event count.
         """
-        event = self._event
-        if not event.cancelled and not event.popped:
-            event.cancelled = True
-            queue = self._queue
+        queue = self._queue
+        if queue is not None:
+            self._queue = None
+            self.cancelled = True
             queue._live -= 1
             heap_len = len(queue._heap)
             if heap_len >= _COMPACT_MIN_HEAP and heap_len - queue._live > queue._live:
                 queue._compact()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"EventHandle(t={self.time:.6f}, tag={self.tag!r}, {state})"
+        if self.cancelled:
+            state = "cancelled"
+        else:
+            state = "fired" if self._queue is None else "pending"
+        return f"Event(t={self.time:.6f}, tag={self.tag!r}, {state})"
+
+
+#: The name callers hold a pending event by; the event is its own handle.
+EventHandle = Event
 
 
 class EventQueue:
     """Binary-heap event queue with lazy cancellation and an O(1) length."""
 
     def __init__(self) -> None:
-        self._heap: list[tuple[tuple, Event]] = []
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._counter = itertools.count()
         self._live = 0
         #: How many times the heap was rebuilt to drop cancelled tombstones.
@@ -140,25 +141,20 @@ class EventQueue:
         priority: EventPriority = EventPriority.CONTROL,
         tag: str = "",
         payload: Any = None,
-    ) -> EventHandle:
+    ) -> Event:
         """Schedule ``callback`` at absolute simulation ``time``.
 
         ``callback`` may be None for payload-carrying events that the run
         loop dispatches by ``tag`` (the closure-free hot path).
         """
-        if time < 0:
-            raise ValueError(f"cannot schedule an event at negative time {time!r}")
-        event = Event(
-            time=time,
-            priority=priority,
-            seq=next(self._counter),
-            callback=callback,
-            tag=tag,
-            payload=payload,
-        )
-        heapq.heappush(self._heap, (event.sort_key(), event))
+        # ``not >=`` also rejects NaN, which would silently corrupt the heap.
+        if not (time >= 0):
+            raise ValueError(f"event time must be a non-negative number, got {time!r}")
+        seq = next(self._counter)
+        event = Event(time, priority, seq, callback, tag, payload, self)
+        heappush(self._heap, (time, priority, seq, event))
         self._live += 1
-        return EventHandle(event, self)
+        return event
 
     def push_sequenced(
         self,
@@ -167,7 +163,7 @@ class EventQueue:
         priority: EventPriority = EventPriority.ARRIVAL,
         tag: str = "",
         payload: Any = None,
-    ) -> EventHandle:
+    ) -> Event:
         """Schedule a payload event with a caller-chosen sequence number.
 
         Streaming arrival feeds draw ``seq`` from a counter starting at
@@ -178,51 +174,48 @@ class EventQueue:
         unique and outside the internal counter's non-negative range; kept
         separate from :meth:`push` so the hot path stays branch-free.
         """
-        if time < 0:
-            raise ValueError(f"cannot schedule an event at negative time {time!r}")
+        if not (time >= 0):
+            raise ValueError(f"event time must be a non-negative number, got {time!r}")
         if seq >= 0:
             raise ValueError(
                 f"caller-chosen sequence numbers must be negative, got {seq!r}"
             )
-        event = Event(
-            time=time,
-            priority=priority,
-            seq=seq,
-            callback=None,
-            tag=tag,
-            payload=payload,
-        )
-        heapq.heappush(self._heap, (event.sort_key(), event))
+        event = Event(time, priority, seq, None, tag, payload, self)
+        heappush(self._heap, (time, priority, seq, event))
         self._live += 1
-        return EventHandle(event, self)
+        return event
 
     def pop(self) -> Optional[Event]:
         """Pop the earliest non-cancelled event, or None if the queue is empty."""
-        while self._heap:
-            _, event = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            event = heappop(heap)[3]
             if event.cancelled:
                 continue
-            event.popped = True
+            event._queue = None
             self._live -= 1
             return event
         return None
 
     def peek_time(self) -> Optional[float]:
         """Return the timestamp of the next live event without popping it."""
-        while self._heap:
-            _, event = self._heap[0]
-            if event.cancelled:
-                heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            if entry[3].cancelled:
+                heappop(heap)
                 continue
-            return event.time
+            return entry[0]
         return None
 
     def cancel_pending(self, tag: str) -> int:
         """Cancel every pending event with the given tag; returns the count."""
         cancelled = 0
-        for _, event in self._heap:
+        for entry in self._heap:
+            event = entry[3]
             if not event.cancelled and event.tag == tag:
                 event.cancelled = True
+                event._queue = None
                 cancelled += 1
         self._live -= cancelled
         heap_len = len(self._heap)
@@ -233,24 +226,27 @@ class EventQueue:
     def _compact(self) -> None:
         """Rebuild the heap without cancelled tombstones.
 
-        ``heapify`` over the surviving ``(sort_key, event)`` pairs preserves
-        the exact pop order, so compaction is invisible to the simulation.
+        The ``(time, priority, seq)`` prefix of every entry is unique, so
+        ``heapify`` over the survivors preserves the exact pop order and
+        compaction is invisible to the simulation.
         """
-        self._heap = [entry for entry in self._heap if not entry[1].cancelled]
-        heapq.heapify(self._heap)
+        self._heap = [entry for entry in self._heap if not entry[3].cancelled]
+        heapify(self._heap)
         self.compactions += 1
 
     def clear(self) -> None:
         """Drop all pending events.
 
-        Cleared events are marked cancelled so outstanding handles no-op
-        instead of corrupting the live-event counter.
+        Cleared events are marked cancelled and detached from the queue, so
+        outstanding handles no-op instead of corrupting the live-event count.
         """
-        for _, event in self._heap:
+        for entry in self._heap:
+            event = entry[3]
             event.cancelled = True
+            event._queue = None
         self._heap.clear()
         self._live = 0
 
     def drain_times(self) -> list[float]:
         """Return the sorted timestamps of all live events (testing helper)."""
-        return sorted(e.time for _, e in self._heap if not e.cancelled)
+        return sorted(entry[0] for entry in self._heap if not entry[3].cancelled)

@@ -92,22 +92,24 @@ class Task:
     _core: Optional[object] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.service_time <= 0:
+        # Written as ``not (x > 0)`` so NaN is rejected along with bad values.
+        if not (self.service_time > 0):
             raise ValueError(
-                f"task {self.task_id} must have positive service time, "
+                f"task {self.task_id}: service_time must be positive, "
                 f"got {self.service_time!r}"
             )
-        if self.arrival_time < 0:
+        if not (self.arrival_time >= 0):
             raise ValueError(
-                f"task {self.task_id} has negative arrival time {self.arrival_time!r}"
+                f"task {self.task_id}: arrival_time must be non-negative, "
+                f"got {self.arrival_time!r}"
             )
-        if self.memory_mb <= 0:
+        if not (self.memory_mb > 0):
             raise ValueError(
-                f"task {self.task_id} must have positive memory size, got {self.memory_mb!r}"
+                f"task {self.task_id}: memory_mb must be positive, got {self.memory_mb!r}"
             )
-        if self.weight <= 0:
+        if not (self.weight > 0):
             raise ValueError(
-                f"task {self.task_id} must have positive weight, got {self.weight!r}"
+                f"task {self.task_id}: weight must be positive, got {self.weight!r}"
             )
         self._remaining = float(self.service_time)
 

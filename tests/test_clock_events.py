@@ -116,6 +116,38 @@ class TestEventQueue:
         with pytest.raises(ValueError):
             queue.push(-0.1, lambda: None)
 
+    def test_rejects_nan_time(self):
+        """NaN compares false both ways, so a NaN entry would silently
+        corrupt the heap order; it is refused at the door instead."""
+        queue = EventQueue()
+        for time in (3.0, 1.0, 2.0, 0.5):
+            queue.push(time, None)
+        with pytest.raises(ValueError, match="event time"):
+            queue.push(float("nan"), None)
+        with pytest.raises(ValueError, match="event time"):
+            queue.push_sequenced(float("nan"), -1)
+        assert len(queue) == 4
+        assert [e.time for e in iter(queue.pop, None)] == [0.5, 1.0, 2.0, 3.0]
+
+    def test_push_returns_the_event_as_its_handle(self):
+        queue = EventQueue()
+        handle = queue.push(1.0, None, tag="x", payload=7)
+        event = queue.pop()
+        assert event is handle
+        assert (event.time, event.tag, event.payload) == (1.0, "x", 7)
+        handle.cancel()  # late cancel: a no-op, the event already fired
+        assert not handle.cancelled
+        assert len(queue) == 0
+
+    def test_cleared_handles_cancel_as_no_ops(self):
+        queue = EventQueue()
+        handle = queue.push(1.0, None)
+        queue.clear()
+        assert handle.cancelled
+        handle.cancel()
+        queue.push(2.0, None)
+        assert len(queue) == 1
+
     def test_clear(self):
         queue = EventQueue()
         queue.push(1.0, lambda: None)

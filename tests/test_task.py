@@ -19,6 +19,24 @@ class TestTaskValidation:
         with pytest.raises(ValueError):
             make_task(memory_mb=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("service_time", float("nan")),
+            ("arrival_time", float("nan")),
+            ("weight", float("nan")),
+            ("memory_mb", float("nan")),
+            ("service_time", 0.0),
+            ("arrival_time", -1.0),
+            ("weight", -2.0),
+            ("memory_mb", 0),
+        ],
+    )
+    def test_bad_values_incl_nan_are_rejected_by_name(self, field, value):
+        fields = {"task_id": 3, "arrival_time": 0.0, "service_time": 1.0, field: value}
+        with pytest.raises(ValueError, match=rf"task 3: {field} must be"):
+            Task(**fields)
+
     def test_remaining_initialised_to_service(self):
         task = make_task(service=2.5)
         assert task.remaining == 2.5

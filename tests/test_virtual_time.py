@@ -330,7 +330,7 @@ class TestSlots:
         core = Core(core_id=0, group="all")
         assert not hasattr(core, "__dict__")
         queue = EventQueue()
-        event = queue.push(0.0, None, tag="arrival", payload=task)._event
+        event = queue.push(0.0, None, tag="arrival", payload=task)
         assert not hasattr(event, "__dict__")
 
     def test_dataclass_fields_still_work(self):
