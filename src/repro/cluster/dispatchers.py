@@ -26,13 +26,18 @@ from repro.simulation.task import Task
 def function_key(task: Task) -> str:
     """Stable identifier of the serverless function a task invokes.
 
-    Falls through empty identifiers: a ``function_id`` of ``None`` or ``""``
-    and an empty ``name`` both defer to the unique task id, so anonymous
-    tasks never collide on one hash-ring key.
+    Resolution order: a non-empty ``metadata["function_id"]`` (a
+    programmatic override), then the task's own ``function_id`` field (set
+    by the workload factories), then its ``name``, then the unique task id.
+    Empty identifiers fall through — a ``function_id`` of ``None`` or ``""``
+    and an empty ``name`` all defer to the task id, so anonymous tasks never
+    collide on one hash-ring key.
     """
-    function_id = task.metadata.get("function_id")
-    if function_id is not None and str(function_id) != "":
-        return str(function_id)
+    override = task.metadata.get("function_id")
+    if override is not None and str(override) != "":
+        return str(override)
+    if task.function_id:
+        return task.function_id
     if task.name:
         return task.name
     return f"task-{task.task_id}"

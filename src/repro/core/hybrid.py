@@ -180,7 +180,7 @@ class HybridScheduler(Scheduler):
         handle = self.sim.schedule_timer(
             limit,
             lambda t=task, c=core: self._on_limit_expired(t, c),
-            tag=f"fifo-limit-{task.task_id}",
+            tag="fifo-limit",
         )
         self._limit_timers[task.task_id] = handle
 
@@ -212,7 +212,7 @@ class HybridScheduler(Scheduler):
         self.sim.start_task(task, target)
         word.mark_on_cpu(target.core_id, self.now)
         word.group = CFS_GROUP
-        task.groups_visited.append(CFS_GROUP)
+        task.groups_visited += (CFS_GROUP,)
         self.tasks_preempted_to_cfs += 1
         self._dispatch_next_fifo(core)
 
@@ -307,6 +307,7 @@ class HybridScheduler(Scheduler):
                 timer.cancel()
             word = self.enclave.status_word(running.task_id)
             word.group = CFS_GROUP
+            running.groups_visited += (CFS_GROUP,)
         self.machine.move_core(core.core_id, FIFO_GROUP, CFS_GROUP)
         self.enclave.move_cpu(core.core_id, FIFO_GROUP, CFS_GROUP)
         self._rebalance_cfs_queues(core)

@@ -8,9 +8,11 @@ accumulated runtime to decide when a task has exceeded the FIFO time limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
+
+from repro.simulation.task import DATACLASS_KWARGS
 
 
 class TaskRunState(Enum):
@@ -24,7 +26,7 @@ class TaskRunState(Enum):
     DEAD = "dead"
 
 
-@dataclass
+@dataclass(**DATACLASS_KWARGS)
 class StatusWord:
     """Shared task state between the (simulated) kernel and the agents.
 
@@ -46,7 +48,6 @@ class StatusWord:
     runtime: float = 0.0
     last_dispatch_time: Optional[float] = None
     dispatch_count: int = 0
-    metadata: dict = field(default_factory=dict)
 
     def mark_queued(self, group: str) -> None:
         self.state = TaskRunState.QUEUED

@@ -57,7 +57,7 @@ class FIFOPreemptScheduler(CentralizedQueueScheduler):
         handle = self.sim.schedule_timer(
             self.quantum,
             lambda t=task, c=core: self._on_quantum_expired(t, c),
-            tag=f"fifo-preempt-{task.task_id}",
+            tag="fifo-preempt",
         )
         self._timers[task.task_id] = handle
 

@@ -9,6 +9,14 @@ in one numpy structured array that the
 tasks finish, so result aggregation is O(1) allocations: summaries,
 percentiles, CDFs and CSV export all read (views of) the same columns.
 
+Appends land in a bounded row buffer of plain tuples (a tuple append is
+~10x cheaper than a structured-array row write) that is flushed into the
+structured array every :data:`FLUSH_ROWS` rows, and on any read, in one
+vectorised conversion; the array grows geometrically.  The buffer's memory
+therefore stays a few hundred KiB however many tasks finish, instead of
+holding every row as Python objects until the first read.  The reservoir
+and spill stores inherit the same buffer.
+
 The store records tasks in completion order.  Percentile/mean statistics are
 order-independent (within float rounding), and consumers that need a stable
 per-task ordering (CSV export) sort by ``task_id``.
@@ -42,15 +50,17 @@ TASK_COLUMNS_DTYPE = np.dtype(
 #: Initial capacity of an incrementally filled store.
 _INITIAL_CAPACITY = 256
 
+#: Row-buffer size: ``append`` flushes the buffer once it holds this many rows.
+FLUSH_ROWS = 4096
+
 
 class TaskColumns:
     """Growable structured-array store of finished-task metrics.
 
     Appends land in a row buffer of plain tuples (sub-µs on the completion
-    hot path — structured-array row writes are ~10x more expensive) and are
-    flushed into the structured array in one vectorised conversion on first
-    read; reads between completions therefore stay cheap and every accessor
-    returns a numpy view/array, never a Python list.
+    hot path) that is flushed into the structured array every
+    :data:`FLUSH_ROWS` rows and on read; every accessor returns a numpy
+    view/array, never a Python list.
     """
 
     __slots__ = ("_data", "_size", "_pending")
@@ -76,7 +86,8 @@ class TaskColumns:
         if not task.is_finished:
             raise ValueError(f"task {task.task_id} is not finished")
         last_core = task.last_core
-        self._pending.append(
+        pending = self._pending
+        pending.append(
             (
                 task.task_id,
                 task.arrival_time,
@@ -90,6 +101,8 @@ class TaskColumns:
                 NO_CORE if last_core is None else last_core,
             )
         )
+        if len(pending) >= FLUSH_ROWS:
+            self._flush()
 
     def extend(self, tasks: Iterable) -> None:
         for task in tasks:

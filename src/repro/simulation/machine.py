@@ -245,14 +245,21 @@ class Machine:
     def group_size(self, name: str) -> int:
         return len(self.group(name))
 
+    def _idle_set(self, group: Optional[str]) -> set:
+        """Ids of idle, unlocked cores in ``group`` (all groups for None)."""
+        if group is None:
+            return self._idle_all
+        self.group(group)  # raise KeyError for unknown groups
+        return self._idle_ids[group]
+
     def idle_cores(self, group: Optional[str] = None) -> List[Core]:
         """Idle, unlocked cores — optionally restricted to one group."""
-        if group is not None:
-            self.group(group)
-            ids = self._idle_ids[group]
-        else:
-            ids = self._idle_all
-        return [self.cores[cid] for cid in sorted(ids)]
+        return [self.cores[cid] for cid in sorted(self._idle_set(group))]
+
+    def first_idle_core(self, group: Optional[str] = None) -> Optional[Core]:
+        """Lowest-id idle, unlocked core — optionally within one group."""
+        ids = self._idle_set(group)
+        return self.cores[min(ids)] if ids else None
 
     def busy_cores(self, group: Optional[str] = None) -> List[Core]:
         cores = self.group_cores(group) if group else self.cores

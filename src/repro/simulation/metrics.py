@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.simulation.columns import TaskColumns
 from repro.simulation.cpu import Core
-from repro.simulation.task import Task
+from repro.simulation.task import DATACLASS_KWARGS, Task
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class UtilizationSample:
         return self.per_group.get(name, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, **DATACLASS_KWARGS)
 class SeriesPoint:
     """One point of a scheduler-recorded named time series."""
 

@@ -54,7 +54,9 @@ class Task:
             core with no interference and no context switches.
         memory_mb: Memory size allocated to the function; drives the AWS
             Lambda per-millisecond price.
-        name: Optional human-readable label (e.g. ``"fib(38)"``).
+        name: Optional human-readable label (e.g. ``"fib(38)"``).  Workload
+            factories share one string object among all invocations of a
+            function rather than formatting one per task.
         fibonacci_n: Fibonacci argument used to emulate this duration, if the
             task came out of the calibration pipeline.
         deadline: Optional absolute deadline, only used by the EDF policy.
@@ -63,6 +65,15 @@ class Task:
             task with weight 2.0 receives twice the service rate of a
             weight-1.0 task sharing the same core; run-to-completion cores
             are unaffected.
+        function_id: Identifier of the serverless function this task
+            invokes (e.g. ``"fib(38)/256mb"``); empty when unknown.  Cluster
+            dispatchers route on it via
+            :func:`repro.cluster.dispatchers.function_key`, where a
+            ``metadata["function_id"]`` entry still overrides it.
+        groups_visited: Core groups the task was moved into after its first
+            dispatch, in order (the hybrid policy records ``"cfs"``).  An
+            immutable tuple, rebound on each visit, so the common no-visit
+            case shares the empty tuple.
     """
 
     task_id: int
@@ -74,6 +85,7 @@ class Task:
     deadline: Optional[float] = None
     metadata: dict = field(default_factory=dict)
     weight: float = 1.0
+    function_id: str = ""
 
     # --- dynamic bookkeeping -------------------------------------------------
     state: TaskState = TaskState.CREATED
@@ -84,7 +96,7 @@ class Task:
     migrations: int = 0
     vruntime: float = 0.0
     last_core: Optional[int] = None
-    groups_visited: list = field(default_factory=list)
+    groups_visited: tuple = ()
     #: Concrete remaining work, valid as of the owning core's last
     #: materialization (exact while detached).  Read through ``remaining``.
     _remaining: float = field(default=0.0, init=False, repr=False, compare=False)

@@ -16,7 +16,7 @@ Convenience builders reproduce the two workloads the paper uses:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -146,23 +146,50 @@ class WorkloadGenerator:
 def items_to_tasks(items: Sequence[WorkloadItem]) -> List[Task]:
     """Convert workload items into simulator tasks (ids follow arrival order).
 
-    Each task carries a ``function_id`` in its metadata identifying the
-    serverless function it is an invocation of (same Fibonacci argument and
-    memory size ⇒ same function).  Locality-aware cluster dispatchers route
-    on this id so repeat invocations land on the same node.
+    Each task carries a ``function_id`` identifying the serverless function
+    it is an invocation of (same Fibonacci argument and memory size ⇒ same
+    function), e.g. ``"fib(38)/256mb"``.  Locality-aware cluster dispatchers
+    route on this id so repeat invocations land on the same node.  The
+    ``name`` and ``function_id`` strings are built once per function and
+    shared by all of its invocations.
     """
+    labels: Dict[Tuple[int, int], Tuple[str, str]] = {}
     return [
-        Task(
-            task_id=i,
-            arrival_time=item.arrival_time,
-            service_time=item.duration,
-            memory_mb=item.memory_mb,
-            fibonacci_n=item.fibonacci_n,
-            name=f"fib({item.fibonacci_n})",
-            metadata={"function_id": f"fib({item.fibonacci_n})/{item.memory_mb}mb"},
+        invocation_task(
+            labels, i, item.arrival_time, item.duration, item.fibonacci_n, item.memory_mb
         )
         for i, item in enumerate(items)
     ]
+
+
+def invocation_task(
+    labels: Dict[Tuple[int, int], Tuple[str, str]],
+    task_id: int,
+    arrival_time: float,
+    service_time: float,
+    fibonacci_n: int,
+    memory_mb: int,
+) -> Task:
+    """One invocation of the function ``(fibonacci_n, memory_mb)``.
+
+    ``labels`` memoises each function's ``(name, function_id)`` pair, so
+    every invocation of a function references the same two string objects
+    instead of formatting its own copies.
+    """
+    key = (fibonacci_n, memory_mb)
+    shared = labels.get(key)
+    if shared is None:
+        name = f"fib({fibonacci_n})"
+        shared = labels[key] = (name, f"{name}/{memory_mb}mb")
+    return Task(
+        task_id=task_id,
+        arrival_time=arrival_time,
+        service_time=service_time,
+        memory_mb=memory_mb,
+        fibonacci_n=fibonacci_n,
+        name=shared[0],
+        function_id=shared[1],
+    )
 
 
 # --------------------------------------------------------------------------

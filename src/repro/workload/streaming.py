@@ -28,7 +28,7 @@ from __future__ import annotations
 import csv
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from repro.simulation.task import Task
 from repro.workload.azure import AzureTraceConfig, FunctionProfile, SyntheticAzureTrace
 from repro.workload.calibration import CalibrationTable, default_calibration_table
 from repro.workload.extraction import ExtractionPipeline, TraceBucket
+from repro.workload.generator import invocation_task
 
 #: Metrics-cap policies understood by :func:`repro.simulation.columns
 #: .build_columns_store` (validated here so a bad spec fails at parse time).
@@ -202,6 +203,9 @@ class BucketStreamSource(StreamingWorkload):
         self.seed = seed
         self.limit = limit
         self.duration_jitter = duration_jitter
+        #: ``(fibonacci_n, memory_mb) -> (name, function_id)``, shared by
+        #: every window so all invocations of a function share two strings.
+        self._labels: Dict[Tuple[int, int], Tuple[str, str]] = {}
 
     # ------------------------------------------------------------- protocol
 
@@ -252,14 +256,8 @@ class BucketStreamSource(StreamingWorkload):
                 )
         rows.sort(key=lambda row: (row[0], row[1]))
         return [
-            Task(
-                task_id=first_task_id + i,
-                arrival_time=arrival,
-                service_time=duration,
-                memory_mb=memory_mb,
-                fibonacci_n=fibonacci_n,
-                name=f"fib({fibonacci_n})",
-                metadata={"function_id": f"fib({fibonacci_n})/{memory_mb}mb"},
+            invocation_task(
+                self._labels, first_task_id + i, arrival, duration, fibonacci_n, memory_mb
             )
             for i, (arrival, fibonacci_n, duration, memory_mb) in enumerate(rows)
         ]

@@ -5,7 +5,7 @@ import pytest
 from repro.core.config import CFS_GROUP, CFSPlacement, FIFO_GROUP, HybridConfig
 from repro.core.hybrid import HybridScheduler
 from repro.simulation.config import SimulationConfig
-from repro.simulation.engine import simulate
+from repro.simulation.engine import Simulator, simulate
 from repro.simulation.machine import Machine
 from tests.conftest import make_tasks
 
@@ -125,6 +125,30 @@ class TestLongTasks:
         assert stats["tasks_completed_in_fifo"] == 1
         assert stats["tasks_completed_in_cfs"] == 1
         assert stats["messages_posted"] >= 4
+
+
+class TestGroupsVisited:
+    def test_preemption_records_cfs_visit(self):
+        config = HybridConfig(fifo_cores=2, cfs_cores=2, time_limit=0.2)
+        _, result = run_hybrid([(0.0, 1.0), (0.0, 0.1)], config=config)
+        long_task, short_task = sorted(result.tasks, key=lambda t: t.task_id)
+        assert long_task.groups_visited == (CFS_GROUP,)
+        assert short_task.groups_visited == ()
+
+    def test_rightsizing_a_busy_fifo_core_records_cfs_visit(self):
+        """A task whose FIFO core is moved to the CFS group visits CFS."""
+        scheduler = HybridScheduler(HybridConfig(fifo_cores=2, cfs_cores=2))
+        sim_config = SimulationConfig(num_cores=4)
+        machine = Machine(sim_config, groups=scheduler.preferred_groups(4))
+        sim = Simulator(machine, scheduler, config=sim_config)
+        sim.submit(make_tasks([(0.0, 1.0), (0.0, 1.0)]))
+        sim.schedule_timer(0.5, scheduler._migrate_fifo_core_to_cfs)
+        result = sim.run()
+        moved, stayed = sorted(result.tasks, key=lambda t: t.task_id)
+        assert scheduler.tasks_completed_in_cfs == 1
+        assert scheduler.enclave.status_word(moved.task_id).group == CFS_GROUP
+        assert moved.groups_visited == (CFS_GROUP,)
+        assert stayed.groups_visited == ()
 
 
 class TestAdaptiveLimitIntegration:

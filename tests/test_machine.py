@@ -57,6 +57,25 @@ class TestQueries:
         machine.core(1).lock()
         assert [c.core_id for c in machine.idle_cores()] == [0]
 
+    def test_first_idle_core_is_lowest_idle_unlocked_id(self):
+        machine = Machine(SimulationConfig(num_cores=6), groups={"fifo": 3, "cfs": 3})
+        assert machine.first_idle_core().core_id == 0
+        assert machine.first_idle_core("cfs").core_id == 3
+        machine.core(0).add_task(make_task(task_id=0), 0.0)
+        machine.core(1).lock()
+        machine.core(3).add_task(make_task(task_id=1), 0.0)
+        assert machine.first_idle_core().core_id == 2
+        assert machine.first_idle_core("fifo").core_id == 2
+        assert machine.first_idle_core("cfs").core_id == 4
+        machine.core(2).add_task(make_task(task_id=2), 0.0)
+        assert machine.first_idle_core("fifo") is None
+        for group in (None, "fifo", "cfs"):
+            idle = machine.idle_cores(group)
+            first = machine.first_idle_core(group)
+            assert first is (idle[0] if idle else None)
+        with pytest.raises(KeyError):
+            machine.first_idle_core("nope")
+
     def test_least_loaded_core(self):
         machine = build_machine(3)
         machine.core(0).add_task(make_task(task_id=0), 0.0)
